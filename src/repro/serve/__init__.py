@@ -3,8 +3,8 @@
 The paper's economics — compile once offline, query many times online
 — become a long-lived service here.  An asyncio HTTP front end accepts
 ``POST /compile`` (DIMACS + compiler config) and ``POST /query``
-(artifact key + count/wmc/mpe/marginals params); heavy work runs on a
-multiprocessing worker pool over one shared
+(artifact key + count/wmc/mpe/marginals params); heavy work runs on
+forked worker processes, one socket channel each, over one shared
 :class:`~repro.ir.store.ArtifactStore`, so a circuit compiled for any
 client serves every later request through the warm path (cert hit +
 ``.csr`` mmap + cached codegen).  Concurrent compiles of the same CNF

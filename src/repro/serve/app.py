@@ -15,7 +15,9 @@ Request lifecycle for ``POST /compile``:
    are already queued/running, answer 429 + ``Retry-After``;
 4. the worker compiles under the request budget; an expired deadline
    comes back as certified anytime bounds (status ``bounds``, HTTP
-   200) — never a 5xx.
+   200) — never a 5xx.  Only a worker that dies mid-job answers 5xx:
+   503 + ``Retry-After`` (status ``unavailable``), shared by the dedup
+   waiters.
 
 ``POST /query`` follows 1→3→4 (no dedup lease: queries are cheap warm
 loads; deduping them would serialise throughput for no saved work).
@@ -48,7 +50,7 @@ __all__ = ["ServerConfig", "Server", "run_server"]
 #: HTTP status per worker reply status
 STATUS_HTTP = {"ok": 200, "bounds": 200, "invalid": 400,
                "not_found": 404, "budget_exceeded": 408, "busy": 429,
-               "error": 500}
+               "error": 500, "unavailable": 503}
 
 
 @dataclass
@@ -120,10 +122,8 @@ class Server:
     async def _dispatch(self, fn: Any, payload: Dict[str, Any]
                         ) -> Dict[str, Any]:
         """Run one job on the pool, tracking admission occupancy."""
-        loop = asyncio.get_running_loop()
         try:
-            reply = await asyncio.wrap_future(
-                self.pool.submit(fn, payload), loop=loop)
+            reply = await self.pool.call(fn, payload)
         finally:
             self._release()
         self._absorb_worker_stats(reply)
@@ -186,9 +186,7 @@ class Server:
             "deadline_s": self._budget_caps(request.deadline_s),
             "optimize": request.optimize}
         if request.query == "explain":
-            payload["instance"] = {str(v): bool(s) for v, s
-                                   in request.instance.items()} \
-                if request.instance else {}
+            payload["instance"] = request.instance
             payload["limit"] = request.limit
             payload["smallest"] = request.smallest
         reply = await self._dispatch(run_query, payload)
@@ -209,6 +207,7 @@ class Server:
                 "pending": self._pending,
                 "inflight_compiles": self.registry.depth(),
                 "dedup_hit_rate": round(dedup_rate, 4),
+                "worker_restarts": self.pool.restarts,
                 "warm_hit_rate": round(warm_rate, 4),
                 "frontend": front,
                 "dedup": self.registry.stats.as_dict(),
@@ -224,7 +223,7 @@ class Server:
         if method == "GET" and path == "/stats":
             return 200, self._stats_snapshot()
         if method == "GET" and path == "/healthz":
-            return 200, {"status": "ok"}
+            return 200, {"status": "ok", "workers": self.pool.live()}
         return 404, {"status": "error",
                      "error": f"no route {method} {path}"}
 
@@ -249,7 +248,17 @@ class Server:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or 0)
+                try:
+                    length = int(headers.get("content-length") or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    await self._respond(
+                        writer, 400,
+                        {"status": "invalid",
+                         "error": "bad Content-Length header"},
+                        close=True)
+                    break
                 if length > self.config.max_body:
                     await self._respond(
                         writer, 413,
@@ -295,11 +304,12 @@ class Server:
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   408: "Request Timeout", 413: "Payload Too Large",
                   429: "Too Many Requests",
-                  500: "Internal Server Error"}.get(status, "Status")
+                  500: "Internal Server Error",
+                  503: "Service Unavailable"}.get(status, "Status")
         head = [f"HTTP/1.1 {status} {reason}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(payload)}"]
-        if status == 429:
+        if status in (429, 503):
             head.append(f"Retry-After: {self.config.retry_after_s}")
         if close:
             head.append("Connection: close")
@@ -310,6 +320,7 @@ class Server:
     # -- lifecycle -----------------------------------------------------------
     async def _serve_forever(self) -> None:
         self._loop = asyncio.get_running_loop()
+        await self.pool.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host,
             self.config.port,

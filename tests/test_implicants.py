@@ -534,15 +534,14 @@ def test_serve_explain_roundtrip(tmp_path):
                "num_vars": request.num_vars, "weights": None,
                "weight_batch": None, "deadline_s": request.deadline_s,
                "optimize": request.optimize,
-               "instance": {str(v): s
-                            for v, s in request.instance.items()},
+               "instance": request.instance,
                "limit": request.limit, "smallest": request.smallest}
     reply = pool.run_query(payload)
     assert reply["status"] == "ok"
     assert reply["reasons"] == [[1, 3]] and reply["complete"]
 
     # negative decision → invalid (400), not a crash
-    bad = dict(payload, instance={"1": False, "2": False, "3": True})
+    bad = dict(payload, instance={1: False, 2: False, 3: True})
     assert pool.run_query(bad)["status"] == "invalid"
 
     # unknown key → not_found (404)

@@ -2,11 +2,15 @@
 facade it sits on, in-flight dedup, admission control, and the
 serve-isolation lint rule."""
 
+import http.client
 import importlib.util
 import json
 import os
 import random
+import signal
+import socket
 import threading
+import time
 
 import pytest
 
@@ -201,6 +205,10 @@ class TestServer:
         stats = client.stats()
         assert stats["status"] == "ok"
         assert "dedup_hit_rate" in stats
+        assert stats["worker_restarts"] == 0
+        status, body = client.request("GET", "/healthz")
+        assert status == 200
+        assert body == {"status": "ok", "workers": 2}
 
     def test_compile_then_query(self, client):
         status, body = client.compile(SMALL)
@@ -252,6 +260,19 @@ class TestServer:
     def test_unknown_route_is_404(self, client):
         status, _ = client.request("GET", "/nope")
         assert status == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, server, length):
+        """An unusable Content-Length gets a 400 and a closed
+        connection, not a dropped one."""
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(f"POST /query HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in answer
 
     def test_expiring_compile_returns_bounds(self, client):
         """The acceptance criterion: a deadline that expires mid-
@@ -367,6 +388,107 @@ class TestLoadGenerator:
         assert report["query_requests"] == 18
         assert report["query_p99_ms"] >= report["query_p50_ms"] > 0
         assert report["rps"] > 0
+
+
+def _socket_fds(pid):
+    """How many sockets process ``pid`` holds open (Linux)."""
+    fd_dir = f"/proc/{pid}/fd"
+    return sum(os.readlink(os.path.join(fd_dir, name)).startswith("socket:")
+               for name in os.listdir(fd_dir))
+
+
+class TestWorkerFaults:
+    """A killed worker costs at most its in-flight job a declared 503;
+    the pool forks a replacement and later requests succeed."""
+
+    def test_killed_idle_worker_is_replaced(self):
+        instance = Server(ServerConfig(port=0, workers=2))
+        handle = ServeClient(*instance.start())
+        try:
+            status, body = handle.compile(SMALL)
+            assert status == 200
+            key, victim = body["key"], body["pid"]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while True:
+                status, body = handle.query(key, "count", num_vars=4)
+                assert status in (200, 503), body  # never a 500
+                if handle.stats().get("worker_restarts"):
+                    break
+                assert time.monotonic() < deadline, "death not noticed"
+                time.sleep(0.01)
+            pids = set()
+            for _ in range(20):
+                status, body = handle.query(key, "count", num_vars=4)
+                assert status == 200
+                assert int(body["result"]) == SMALL_COUNT
+                pids.add(body["pid"])
+            assert victim not in pids
+            status, health = handle.request("GET", "/healthz")
+            assert health == {"status": "ok", "workers": 2}
+            if os.path.isdir("/proc/self/fd"):
+                # each worker keeps its own channel and no other
+                # socket: not the listener, not a client connection
+                assert [_socket_fds(pid) for pid in pids] == \
+                    [1] * len(pids)
+        finally:
+            handle.close()
+            instance.stop()
+
+    def test_killed_busy_worker_answers_503(self):
+        """The in-flight compile and its dedup waiter both get 503 +
+        Retry-After; the replacement worker then serves."""
+        instance = Server(ServerConfig(port=0, workers=1))
+        host, port = instance.start()
+        handle = ServeClient(host, port)
+        try:
+            _, body = handle.compile(SMALL)
+            key, victim = body["key"], body["pid"]
+            slow = json.dumps({"dimacs": hard_cnf(seed=41),
+                               "deadline_s": 120.0}).encode()
+            replies = []
+
+            def fire():
+                conn = http.client.HTTPConnection(host, port, timeout=120)
+                try:
+                    conn.request("POST", "/compile", slow,
+                                 {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    replies.append((response.status,
+                                    response.getheader("Retry-After"),
+                                    json.loads(response.read())))
+                finally:
+                    conn.close()
+
+            threads = [threading.Thread(target=fire) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while True:
+                stats = handle.stats()
+                if stats["inflight_compiles"] == 1 and \
+                        stats["frontend"].get("compile_dedup_waits"):
+                    break
+                assert time.monotonic() < deadline, stats
+                time.sleep(0.01)
+            os.kill(victim, signal.SIGKILL)
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert [(status, retry) for status, retry, _ in replies] == \
+                [(503, "1")] * 2
+            assert all(reply["status"] == "unavailable"
+                       for _, _, reply in replies)
+            assert sum(bool(reply.get("deduplicated"))
+                       for _, _, reply in replies) == 1
+            status, body = handle.query(key, "count", num_vars=4)
+            assert status == 200 and body["pid"] != victim
+            assert handle.stats()["worker_restarts"] == 1
+            _, health = handle.request("GET", "/healthz")
+            assert health["workers"] == 1
+        finally:
+            handle.close()
+            instance.stop()
 
 
 # -- the serve-isolation lint rule ---------------------------------------------

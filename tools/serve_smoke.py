@@ -3,8 +3,11 @@
 
 Starts a real ``repro serve`` subprocess on an OS-assigned port,
 fires a 50-request mixed burst (duplicate-heavy compiles followed by
-count/WMC queries) through :func:`repro.serve.loadgen.run_load`, and
-asserts the two service-level invariants CI cares about:
+count/WMC queries) through :func:`repro.serve.loadgen.run_load`, then
+SIGKILLs the worker that answered a query, waits until the server has
+replaced it (``worker_restarts`` in ``/stats``, the full worker count
+in ``/healthz``) and fires a second burst.  On both bursts it asserts
+the two service-level invariants CI cares about:
 
 * in-flight dedup actually collapsed duplicate compiles
   (``dedup_hit_rate`` > 0), and
@@ -23,11 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+from typing import Any, Dict, List
 
 
 def start_server(workers: int, cache_dir: str) -> "tuple[subprocess.Popen, str, int]":
@@ -51,10 +56,49 @@ def start_server(workers: int, cache_dir: str) -> "tuple[subprocess.Popen, str, 
     raise SystemExit("server never printed its listening banner")
 
 
+def kill_one_worker(host: str, port: int, key: str, workers: int) -> str:
+    """SIGKILL the worker that answers a query on ``key`` and wait for
+    its replacement; returns a failure message, or "" on success."""
+    from repro.serve.client import ServeClient
+
+    client = ServeClient(host, port)
+    try:
+        status, body = client.query(key, "count")
+        if status != 200:
+            return f"query before the kill answered {status}: {body}"
+        os.kill(body["pid"], signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            _, health = client.request("GET", "/healthz")
+            if client.stats().get("worker_restarts", 0) >= 1 and \
+                    health.get("workers") == workers:
+                print(f"c killed worker {body['pid']}; "
+                      f"{workers} workers up again")
+                return ""
+            time.sleep(0.05)
+        return "killed worker was not replaced within 30 s"
+    finally:
+        client.close()
+
+
+def burst_failures(name: str, report: Dict[str, Any]) -> List[str]:
+    failures = []
+    if report["server_5xx"] != 0:
+        failures.append(f"{name}: server answered "
+                        f"{report['server_5xx']} 5xx")
+    if not report["dedup_hit_rate"] > 0:
+        failures.append(f"{name}: duplicate compiles were not "
+                        "deduplicated")
+    if report["failures"]:
+        failures.append(f"{name}: client-side failures: "
+                        f"{report['failures']}")
+    return failures
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=50,
-                        help="total burst size (compiles + queries)")
+                        help="size of each burst (compiles + queries)")
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
@@ -65,13 +109,27 @@ def main(argv: "list[str] | None" = None) -> int:
     distinct, duplicates = 3, 8
     queries = max(args.requests - distinct * duplicates, 1)
 
+    def burst(seed: int) -> Dict[str, Any]:
+        report = run_load(host, port, distinct=distinct,
+                          duplicates=duplicates, queries=queries,
+                          threads=4, num_vars=20, num_clauses=50,
+                          seed=seed, deadline_s=30.0)
+        report.pop("server_stats", None)
+        return report
+
+    failures: List[str] = []
+    reports: Dict[str, Dict[str, Any]] = {}
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache:
         proc, host, port = start_server(args.workers, cache)
         try:
-            report = run_load(host, port, distinct=distinct,
-                              duplicates=duplicates, queries=queries,
-                              threads=4, num_vars=20, num_clauses=50,
-                              seed=11, deadline_s=30.0)
+            reports["first"] = burst(seed=11)
+            keys = list(reports["first"]["keys"].values())
+            # with --workers 0 the reply's pid is the server's own
+            if args.workers and keys:
+                kill = kill_one_worker(host, port, keys[0], args.workers)
+                if kill:
+                    failures.append(kill)
+            reports["after_kill"] = burst(seed=23)
         finally:
             proc.send_signal(signal.SIGTERM)
             try:
@@ -80,25 +138,18 @@ def main(argv: "list[str] | None" = None) -> int:
                 proc.kill()
                 rc = -9
 
-    report.pop("server_stats", None)
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-    failures = []
-    if report["server_5xx"] != 0:
-        failures.append(f"server answered {report['server_5xx']} 5xx")
-    if not report["dedup_hit_rate"] > 0:
-        failures.append("duplicate compiles were not deduplicated")
-    if report["failures"]:
-        failures.append(f"client-side failures: {report['failures']}")
+    print(json.dumps(reports, indent=2, sort_keys=True))
+    for name, report in reports.items():
+        failures.extend(burst_failures(name, report))
     if rc != 0:
         failures.append(f"server exited {rc} on SIGTERM, expected 0")
     for failure in failures:
         print(f"SMOKE FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print(f"serve smoke ok: {report['requests']} requests, "
-          f"dedup {report['dedup_hit_rate']:.2f}, zero 5xx, "
-          f"clean shutdown")
+    total = sum(report["requests"] for report in reports.values())
+    print(f"serve smoke ok: {total} requests over {len(reports)} "
+          f"bursts around a worker kill, zero 5xx, clean shutdown")
     return 0
 
 
